@@ -71,7 +71,7 @@ func (c *distChi) at(size, largestHop int) float64 {
 // preSim runs `runs` simulated lookups under the scheme's per-query
 // linkability probability and collects ξ, γ, χ plus the hop-count
 // distribution.
-func preSim(ring *Ring, rng *rand.Rand, runs int, linkProb func() []bool, queryCount func(q int) []bool) (*distXi, *distGamma, *distChi, []float64) {
+func preSim(ring *Ring, rng *rand.Rand, runs int, queryCount func(q int) []bool) (*distXi, *distGamma, *distChi, []float64) {
 	xi := &distXi{}
 	gamma := &distGamma{}
 	chi := &distChi{p: make(map[[2]int]float64)}
@@ -190,6 +190,5 @@ func preSim(ring *Ring, rng *rand.Rand, runs int, linkProb func() []bool, queryC
 	for i := range hopHist {
 		hopHist[i] /= float64(total)
 	}
-	_ = linkProb
 	return xi, gamma, chi, hopHist
 }

@@ -87,7 +87,7 @@ func New(cfg Config) *Analyzer {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	a := &Analyzer{cfg: cfg, rng: rng, ring: NewRing(cfg.N, cfg.SuccList, rng)}
 	link := func(q int) []bool { return a.sampleQueryLinkability(q).linkable }
-	a.xi, a.gamma, a.chi, a.hops = preSim(a.ring, rng, cfg.PreSimRuns, nil, link)
+	a.xi, a.gamma, a.chi, a.hops = preSim(a.ring, rng, cfg.PreSimRuns, link)
 	return a
 }
 

@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"time"
@@ -271,6 +272,35 @@ func TestSignedTables(t *testing.T) {
 	tampered.Successors[0].ID++
 	if tampered.VerifySig(scheme, node.Identity().Key.Public) {
 		t.Error("tampered table still verifies")
+	}
+}
+
+// TestSignedBytesEncoding pins the signed encoding byte for byte (a change
+// would invalidate every signature a peer on the old encoding produced) and
+// checks that the buffer is sized exactly: encoding makes one allocation.
+func TestSignedBytesEncoding(t *testing.T) {
+	rt := RoutingTable{
+		Owner:        Peer{ID: 0x0102030405060708, Addr: 7},
+		Fingers:      []Peer{{ID: 0x1111, Addr: 1}, {ID: 0x2222, Addr: 2}},
+		FingerExps:   []uint8{12, 40},
+		Successors:   []Peer{{ID: 0x3333, Addr: 3}},
+		Predecessors: []Peer{{ID: 0xfedcba9876543210, Addr: 4}},
+		Timestamp:    90 * time.Second,
+	}
+	const want = "0102030405060708" + "0000000000000007" + "00000014f46b0400" +
+		"0102" + "0000000000001111" + "0000000000000001" + "0000000000002222" + "0000000000000002" +
+		"02" + "0c28" +
+		"0201" + "0000000000003333" + "0000000000000003" +
+		"0301" + "fedcba9876543210" + "0000000000000004"
+	b := rt.signedBytes()
+	if got := hex.EncodeToString(b); got != want {
+		t.Fatalf("signed encoding changed:\n got %s\nwant %s", got, want)
+	}
+	if len(b) != cap(b) {
+		t.Errorf("signedBytes reserved %d bytes for a %d-byte encoding", cap(b), len(b))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = rt.signedBytes() }); allocs != 1 {
+		t.Errorf("signedBytes made %v allocations, want exactly 1", allocs)
 	}
 }
 

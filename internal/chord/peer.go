@@ -85,29 +85,31 @@ func (rt RoutingTable) All() []Peer {
 	return out
 }
 
-// signedBytes is the canonical byte encoding covered by the table signature.
+// signedBytes is the canonical byte encoding covered by the table signature:
+// owner ID, owner address and timestamp (8 B each); the fingers, a count
+// byte and the finger exponents; then the successors and predecessors. Each
+// peer list is a tag byte, a count byte and 16 B per peer. The buffer is
+// sized exactly, so encoding makes one allocation.
 func (rt RoutingTable) signedBytes() []byte {
-	buf := make([]byte, 0, 16+10*rt.Items()+8)
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	put(uint64(rt.Owner.ID))
-	put(uint64(rt.Owner.Addr))
-	put(uint64(rt.Timestamp))
-	putPeers := func(tag byte, ps []Peer) {
-		buf = append(buf, tag, byte(len(ps)))
-		for _, p := range ps {
-			put(uint64(p.ID))
-			put(uint64(p.Addr))
-		}
-	}
-	putPeers(1, rt.Fingers)
+	size := 3*8 + 3*2 + 1 + len(rt.FingerExps) + 16*rt.Items()
+	buf := make([]byte, 0, size)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(rt.Owner.ID))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(rt.Owner.Addr))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(rt.Timestamp))
+	buf = appendSignedPeers(buf, 1, rt.Fingers)
 	buf = append(buf, byte(len(rt.FingerExps)))
 	buf = append(buf, rt.FingerExps...)
-	putPeers(2, rt.Successors)
-	putPeers(3, rt.Predecessors)
+	buf = appendSignedPeers(buf, 2, rt.Successors)
+	return appendSignedPeers(buf, 3, rt.Predecessors)
+}
+
+// appendSignedPeers appends one tagged peer list of the signed encoding.
+func appendSignedPeers(buf []byte, tag byte, ps []Peer) []byte {
+	buf = append(buf, tag, byte(len(ps)))
+	for _, p := range ps {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(p.ID))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(p.Addr))
+	}
 	return buf
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -56,6 +58,59 @@ func TestSeededIndexDecorrelated(t *testing.T) {
 		if rate > 2.5/width {
 			t.Errorf("steps 1 and %d collide at %.1f%% (want ~%.1f%%): correlated streams", 1+gap, rate*100, 100.0/width)
 		}
+	}
+}
+
+// TestSeededIndexMatchesFreshSource pins the pooled generator to the
+// stream of a freshly seeded source, so seeded walks stay unchanged.
+func TestSeededIndexMatchesFreshSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 424242, math.MaxInt64} {
+		for step := 1; step <= 12; step++ {
+			for _, width := range []int{1, 5, 16, 37, 1 << 20} {
+				mixed := splitmix64(uint64(seed) + uint64(step)*0x9e3779b97f4a7c15)
+				want := rand.New(rand.NewSource(int64(mixed))).Intn(width)
+				if got := seededIndex(seed, step, width); got != want {
+					t.Fatalf("seededIndex(%d, %d, %d) = %d, fresh source draws %d", seed, step, width, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSeededIndexConcurrent shares the generator pool between goroutines,
+// as walkers on a concurrent transport do; run it under -race.
+func TestSeededIndexConcurrent(t *testing.T) {
+	const steps, width = 500, 37
+	want := make([]int, steps)
+	for i := range want {
+		want[i] = seededIndex(99, i, width)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				if got := seededIndex(99, i, width); got != want[i] {
+					t.Errorf("step %d: concurrent draw %d, serial draw %d", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSeededIndexAllocationFree checks that a walk step reseeds a pooled
+// generator instead of building a new source on every call.
+func TestSeededIndexAllocationFree(t *testing.T) {
+	step := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		step++
+		_ = seededIndex(424242, step, 16)
+	})
+	if allocs != 0 {
+		t.Errorf("seededIndex allocates %v times per call, want 0", allocs)
 	}
 }
 

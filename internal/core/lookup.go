@@ -70,9 +70,7 @@ type tableLookup struct {
 	alpha          int
 	inFlight       int
 	finished       bool
-	known          map[id.ID]chord.Peer
-	source         map[id.ID]chord.RoutingTable
-	queried        map[id.ID]bool
+	known          map[id.ID]candidate
 	closestQueried chord.Peer
 	stats          LookupStats
 	send           func(target chord.Peer, done func(transport.Message, error)) bool
@@ -89,6 +87,15 @@ type tableLookup struct {
 	ownerEvidence chord.RoutingTable
 	ownerSrcDist  uint64
 	ownerFound    bool
+}
+
+// candidate is one node the lookup has learned of: src is the signed table
+// that introduced it (nil for locally seeded candidates), and queried marks
+// it as already asked.
+type candidate struct {
+	peer    chord.Peer
+	src     *chord.RoutingTable
+	queried bool
 }
 
 func (n *Node) newTableLookup(key id.ID,
@@ -109,9 +116,7 @@ func (n *Node) newTableLookup(key id.ID,
 		n:              n,
 		key:            key,
 		alpha:          alpha,
-		known:          make(map[id.ID]chord.Peer),
-		source:         make(map[id.ID]chord.RoutingTable),
-		queried:        make(map[id.ID]bool),
+		known:          make(map[id.ID]candidate),
 		closestQueried: n.Chord.Self,
 		send:           send,
 		finish:         finish,
@@ -123,7 +128,7 @@ func (n *Node) newTableLookup(key id.ID,
 	// full-state tier returns a bounded neighborhood tightly preceding
 	// the key, which normally contains the owner's immediate predecessor.
 	for _, p := range n.tier.Candidates(key) {
-		tl.known[p.ID] = p
+		tl.known[p.ID] = candidate{peer: p}
 	}
 	return tl
 }
@@ -134,13 +139,13 @@ func (tl *tableLookup) bestUnqueried() (chord.Peer, bool) {
 	self := tl.n.Chord.Self
 	best, found := chord.NoPeer, false
 	var bestDist uint64
-	for _, p := range tl.known {
-		if tl.queried[p.ID] || !id.StrictBetween(p.ID, tl.closestQueried.ID, tl.key) {
+	for _, c := range tl.known {
+		if c.queried || !id.StrictBetween(c.peer.ID, tl.closestQueried.ID, tl.key) {
 			continue
 		}
-		d := self.ID.Distance(p.ID)
+		d := self.ID.Distance(c.peer.ID)
 		if !found || d > bestDist {
-			best, bestDist, found = p, d, true
+			best, bestDist, found = c.peer, d, true
 		}
 	}
 	return best, found
@@ -170,13 +175,13 @@ func (tl *tableLookup) recordOwnerCandidate(t chord.RoutingTable) {
 
 // absorb merges a verified table into the knowledge set.
 func (tl *tableLookup) absorb(from chord.Peer, t chord.RoutingTable) {
+	src := &t
 	add := func(p chord.Peer) {
 		if !p.Valid() || p.ID == tl.n.Chord.Self.ID {
 			return
 		}
 		if _, seen := tl.known[p.ID]; !seen {
-			tl.known[p.ID] = p
-			tl.source[p.ID] = t
+			tl.known[p.ID] = candidate{peer: p, src: src}
 		}
 	}
 	for _, p := range boundCheck(t.Owner, t.Fingers, tl.n.cfg.EstimatedSize, tl.n.cfg.BoundFactor) {
@@ -243,7 +248,9 @@ func (tl *tableLookup) step() {
 // issue sends one query to next and wires its response back into the
 // engine. It reports whether the query could be sent at all.
 func (tl *tableLookup) issue(next chord.Peer) bool {
-	tl.queried[next.ID] = true
+	c := tl.known[next.ID]
+	c.peer, c.queried = next, true
+	tl.known[next.ID] = c
 	tl.stats.Queries++
 	tl.stats.Queried = append(tl.stats.Queried, next)
 	tl.inFlight++
@@ -298,8 +305,8 @@ func (tl *tableLookup) done(owner chord.Peer, err error) {
 			res.Evidence = tl.ownerEvidence
 			res.HasEvidence = true
 		default:
-			if t, ok := tl.source[owner.ID]; ok {
-				res.Evidence = t
+			if c := tl.known[owner.ID]; c.src != nil {
+				res.Evidence = *c.src
 				res.HasEvidence = true
 			}
 		}
@@ -429,8 +436,8 @@ func (n *Node) sendDummy(head RelayPair, tl *tableLookup) {
 	// Candidates are sorted so the random choice is deterministic per
 	// seed (map iteration order is not).
 	candidates := make([]chord.Peer, 0, len(tl.known))
-	for _, p := range tl.known {
-		candidates = append(candidates, p)
+	for _, c := range tl.known {
+		candidates = append(candidates, c.peer)
 	}
 	if len(candidates) == 0 {
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
@@ -230,14 +231,26 @@ func clonePeers(ps []chord.Peer) []chord.Peer {
 // independent, which a malicious U_l could exploit to nudge the walk
 // toward colluders. Walker (runPhaseTwo) and verifier (verifyPhaseTwo)
 // share this one derivation, so honest walks still verify.
+//
+// The generator comes from walkRNGs and is reseeded in place: reseeding
+// yields exactly the stream a fresh rand.New(rand.NewSource(mixed)) would,
+// without allocating a new ~5 KB source on every walk step.
 func seededIndex(seed int64, step, n int) int {
 	if n <= 0 {
 		return 0
 	}
 	mixed := splitmix64(uint64(seed) + uint64(step)*0x9e3779b97f4a7c15)
-	r := rand.New(rand.NewSource(int64(mixed)))
-	return r.Intn(n)
+	r := walkRNGs.Get().(*rand.Rand)
+	r.Seed(int64(mixed))
+	i := r.Intn(n)
+	walkRNGs.Put(r)
+	return i
 }
+
+// walkRNGs pools the generators seededIndex reseeds. Each caller holds its
+// generator exclusively between Get and Put, so seededIndex stays safe to
+// call from any goroutine.
+var walkRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // splitmix64 is the SplitMix64 finalizer (Steele, Lea, Flood): a cheap
 // full-avalanche 64-bit mixer — every input bit flips each output bit with

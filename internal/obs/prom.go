@@ -86,17 +86,15 @@ func renderLabels(labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
+		b.WriteString(labelEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+// labelEscaper applies the Prometheus text-format label-value escapes.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
 // formatValue renders a float the way Prometheus clients do: integers
 // without a decimal point, everything else in shortest round-trip form.

@@ -5,64 +5,100 @@
 // with per-pair WAN latencies, RPC timeouts, and node churn. Every run with
 // the same seed and parameters is bit-for-bit reproducible.
 //
+// Events fire in the total order (at, seq): by virtual firing time, and
+// events due at the same instant in the order they were scheduled. Cancelled
+// events are skipped. Cancelling a timer also drops its callback, so
+// whatever the callback captured is released at once rather than when its
+// deadline would have passed.
+//
 // The simulator itself is single-goroutine by design: protocol handlers run
 // inline when their events fire, so no synchronization is needed inside the
 // protocols under test.
 package simnet
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 )
 
 // Timer is a handle to a scheduled event that can be cancelled.
 type Timer struct {
-	at        time.Duration
-	seq       uint64
 	fn        func()
 	cancelled bool
-	index     int // heap index, -1 once popped
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled timer is a no-op.
+// Cancel prevents the event from firing and releases its callback. The
+// remaining events still fire in (at, seq) order. Cancelling an
+// already-fired or already-cancelled timer is a no-op.
 func (t *Timer) Cancel() {
 	t.cancelled = true
+	t.fn = nil
 }
 
-// eventHeap orders timers by (time, sequence) so simultaneous events fire in
-// scheduling order, which keeps runs deterministic.
-type eventHeap []*Timer
+// event is one queue entry. The (at, seq) key sits inline so heap
+// comparisons never dereference the timer; seq is unique, so the order is
+// total and simultaneous events fire in scheduling order, which keeps runs
+// deterministic.
+type event struct {
+	at  time.Duration
+	seq uint64
+	t   *Timer
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	t, ok := x.(*Timer)
-	if !ok {
-		return
+
+// eventHeap is a binary min-heap of events ordered by (at, seq).
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	t.index = len(*h)
-	*h = append(*h, t)
+	q[i] = e
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
+
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // Simulator owns the virtual clock and the event queue.
@@ -99,9 +135,9 @@ func (s *Simulator) After(delay time.Duration, fn func()) *Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	t := &Timer{at: s.now + delay, seq: s.seq, fn: fn}
+	t := &Timer{fn: fn}
+	s.events.push(event{at: s.now + delay, seq: s.seq, t: t})
 	s.seq++
-	heap.Push(&s.events, t)
 	return t
 }
 
@@ -129,16 +165,13 @@ func (s *Simulator) Every(period time.Duration, fn func()) (stop func()) {
 // time. It returns false when the queue is empty.
 func (s *Simulator) Step() bool {
 	for len(s.events) > 0 {
-		t, ok := heap.Pop(&s.events).(*Timer)
-		if !ok {
-			return false
-		}
-		if t.cancelled {
+		e := s.events.pop()
+		if e.t.cancelled {
 			continue
 		}
-		s.now = t.at
+		s.now = e.at
 		s.fired++
-		t.fn()
+		e.t.fn()
 		return true
 	}
 	return false
@@ -149,14 +182,7 @@ func (s *Simulator) Step() bool {
 // exactly `until` still fire.
 func (s *Simulator) Run(until time.Duration) uint64 {
 	start := s.fired
-	for len(s.events) > 0 {
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.at > until {
-			break
-		}
+	for s.reapCancelled() && s.events[0].at <= until {
 		s.Step()
 	}
 	if s.now < until {
@@ -173,13 +199,14 @@ func (s *Simulator) RunAll() uint64 {
 	return s.fired - start
 }
 
-func (s *Simulator) peek() *Timer {
+// reapCancelled pops cancelled events off the top of the queue and reports
+// whether a live event remains at the top.
+func (s *Simulator) reapCancelled() bool {
 	for len(s.events) > 0 {
-		t := s.events[0]
-		if !t.cancelled {
-			return t
+		if !s.events[0].t.cancelled {
+			return true
 		}
-		heap.Pop(&s.events)
+		s.events.pop()
 	}
-	return nil
+	return false
 }

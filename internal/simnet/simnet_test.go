@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -40,10 +42,118 @@ func TestCancel(t *testing.T) {
 	fired := false
 	timer := s.After(time.Second, func() { fired = true })
 	timer.Cancel()
+	// The callback is dropped at once, so whatever it captured does not
+	// stay reachable until the event's deadline is reaped.
+	if timer.fn != nil {
+		t.Error("cancelled timer still holds its callback")
+	}
 	s.RunAll()
 	if fired {
 		t.Error("cancelled timer fired")
 	}
+}
+
+// TestQueueMatchesReferenceOrder drives the event queue with a seeded mix
+// of After (many at equal times, some from inside callbacks), Cancel, Step
+// and Run(until), and checks the firing order against a reference sort of
+// every scheduled event by (at, seq), minus those cancelled before firing.
+func TestQueueMatchesReferenceOrder(t *testing.T) {
+	type sched struct {
+		at        time.Duration
+		seq       int
+		timer     *Timer
+		fired     bool
+		cancelled bool // cancelled before it fired
+	}
+	rng := rand.New(rand.NewSource(99))
+	s := New(1)
+	var all []*sched
+	var order []int // seqs in firing order
+	live := 0       // scheduled, not yet fired or cancelled
+	var after func(delay time.Duration)
+	after = func(delay time.Duration) {
+		e := &sched{at: s.Now() + max(delay, 0), seq: len(all)}
+		all = append(all, e)
+		live++
+		e.timer = s.After(delay, func() {
+			if s.Now() != e.at {
+				t.Fatalf("event %d fired at %v, scheduled for %v", e.seq, s.Now(), e.at)
+			}
+			e.fired = true
+			live--
+			order = append(order, e.seq)
+			if rng.Intn(4) == 0 {
+				after(time.Duration(rng.Intn(4)) * time.Millisecond)
+			}
+		})
+	}
+	for op := 0; op < 8000; op++ {
+		switch r := rng.Intn(20); {
+		case r < 12:
+			// Few distinct delays, so many events share a firing time;
+			// a few negative delays exercise the clamp.
+			after(time.Duration(rng.Intn(12)-1) * time.Millisecond)
+		case r < 16:
+			// Mostly recent events, which are likelier still pending;
+			// some are already fired or cancelled (both no-ops).
+			if len(all) > 0 {
+				e := all[len(all)-1-rng.Intn(min(len(all), 64))]
+				if !e.fired && !e.cancelled {
+					e.cancelled = true
+					live--
+				}
+				e.timer.Cancel()
+			}
+		case r < 19:
+			before := live
+			if stepped := s.Step(); stepped != (before > 0) {
+				t.Fatalf("op %d: Step reported %v with %d live events", op, stepped, before)
+			}
+		default:
+			until := s.Now() + time.Duration(rng.Intn(3))*time.Millisecond
+			s.Run(until)
+			if s.Now() != until {
+				t.Fatalf("op %d: Run(%v) left the clock at %v", op, until, s.Now())
+			}
+			for _, e := range all {
+				if !e.fired && !e.cancelled && e.at <= until {
+					t.Fatalf("op %d: Run(%v) left event %d at %v unfired", op, until, e.seq, e.at)
+				}
+			}
+		}
+	}
+	s.RunAll()
+	if s.Pending() != 0 {
+		t.Fatalf("%d events pending after RunAll", s.Pending())
+	}
+
+	ref := make([]*sched, 0, len(all))
+	for _, e := range all {
+		if !e.cancelled {
+			ref = append(ref, e)
+		}
+	}
+	sort.Slice(ref, func(i, j int) bool {
+		if ref[i].at != ref[j].at {
+			return ref[i].at < ref[j].at
+		}
+		return ref[i].seq < ref[j].seq
+	})
+	if len(order) != len(ref) {
+		t.Fatalf("%d events fired, reference expects %d", len(order), len(ref))
+	}
+	for i, e := range ref {
+		if order[i] != e.seq {
+			t.Fatalf("firing %d: event %d, reference expects event %d", i, order[i], e.seq)
+		}
+	}
+	if uint64(len(order)) != s.Fired() {
+		t.Errorf("Fired() = %d, callbacks ran %d times", s.Fired(), len(order))
+	}
+	if len(all) < 5000 || len(all)-len(ref) < 500 {
+		t.Fatalf("weak mix: %d scheduled, %d cancelled", len(all), len(all)-len(ref))
+	}
+	t.Logf("%d scheduled, %d cancelled, %d fired", len(all), len(all)-len(ref), len(order))
 }
 
 func TestNegativeDelayClamped(t *testing.T) {
